@@ -5,18 +5,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spin_core import SpinMagnitude, central_binomial_weight, stirling_central_weight
+import numpy as np
+from scipy import special
+
+from .spin_core import (
+    SpinMagnitude,
+    _float_or_array,
+    central_binomial_weight,
+    stirling_central_weight,
+)
 
 # largest two_s for which the non-decaying M = 0 weight is taken exactly
 _EXACT_M0_LIMIT = 512
 
 
-def erf(x: float) -> float:
-    """Gauss error function (thin wrapper over the C library implementation)."""
-    return math.erf(x)
+def erf(x: float | np.ndarray) -> float | np.ndarray:
+    """Gauss error function (thin wrapper over scipy.special.erf); x may be an array."""
+    return _float_or_array(special.erf(np.asarray(x, dtype=np.float64)))
 
 
-def c2_coherent_asymptotic(s: SpinMagnitude, tau: float) -> float:
+def c2_coherent_asymptotic(s: SpinMagnitude, tau: float | np.ndarray) -> float | np.ndarray:
     """Smooth large-S envelope of the coherent-state C^2 at tau = J t.
 
     (2S+1)/(2S) [1 - (1 + tau^2)^(-1/2) (1 - erf sqrt((tau^2 + 1)/(8S))) - q]
@@ -24,7 +32,7 @@ def c2_coherent_asymptotic(s: SpinMagnitude, tau: float) -> float:
     where q is the non-decaying central weight 2^(-4S) C(4S, 2S), taken
     exactly for two_s <= 512 and as 1/sqrt(2 pi S) beyond.  Valid for
     t much smaller than the recurrence time; the periodic revivals are
-    deliberately absent.
+    deliberately absent.  tau may be an array.
     """
     if s.two_s < 2:
         raise ValueError("asymptotic form needs two_s >= 2")
@@ -32,10 +40,11 @@ def c2_coherent_asymptotic(s: SpinMagnitude, tau: float) -> float:
         m0 = central_binomial_weight(s.two_s)
     else:
         m0 = stirling_central_weight(s.two_s)
+    tau = np.asarray(tau, dtype=np.float64)
     pref = (s.two_s + 1.0) / s.two_s
-    g = 1.0 / math.sqrt(1.0 + tau * tau)
-    tail = 1.0 - erf(math.sqrt((tau * tau + 1.0) / (4.0 * s.two_s)))
-    return pref * (1.0 - g * tail - m0)
+    g = 1.0 / np.sqrt(1.0 + tau * tau)
+    tail = 1.0 - erf(np.sqrt((tau * tau + 1.0) / (4.0 * s.two_s)))
+    return _float_or_array(pref * (1.0 - g * tail - m0))
 
 
 @dataclass(frozen=True)
@@ -50,8 +59,8 @@ class MinimaConfig:
 
 
 def c2_coherent_asymptotic_minima(
-    s: SpinMagnitude, tau: float, cfg: MinimaConfig | None = None
-) -> float:
+    s: SpinMagnitude, tau: float | np.ndarray, cfg: MinimaConfig | None = None
+) -> float | np.ndarray:
     """Asymptotic C^2 including the echo minima near tau = 2 pi S n / M.
 
     Subtracts from the smooth envelope a train of Gaussians
@@ -59,19 +68,21 @@ def c2_coherent_asymptotic_minima(
         (2S+1)/(2S) (2/sqrt(2 pi S)) sum_{M=2}^{m_max} sum_{n=1}^{M}
             exp{-(M^2/2S) [1 + (tau - 2 pi S n / M)^2]}
 
-    so each predicted dip position shows a local minimum.
+    so each predicted dip position shows a local minimum.  tau may be an
+    array.
     """
     if cfg is None:
         cfg = MinimaConfig()
     if cfg.m_max > s.two_s:
         raise ValueError(f"m_max={cfg.m_max} exceeds 2S={s.two_s}")
+    tau = np.asarray(tau, dtype=np.float64)
     base = c2_coherent_asymptotic(s, tau)
-    train = 0.0
+    train = np.zeros_like(tau)
     for m in range(2, cfg.m_max + 1):
         rate = m * m / float(s.two_s)  # M^2 / 2S
         for n in range(1, m + 1):
             center = math.pi * s.two_s * n / m  # 2 pi S n / M
             dist = tau - center
-            train += math.exp(-rate * (1.0 + dist * dist))
+            train = train + np.exp(-rate * (1.0 + dist * dist))
     pref = (s.two_s + 1.0) / s.two_s
-    return base - pref * (2.0 / math.sqrt(math.pi * s.two_s)) * train
+    return _float_or_array(base - pref * (2.0 / math.sqrt(math.pi * s.two_s)) * train)

@@ -10,6 +10,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, TextIO
 
 import numpy as np
@@ -102,11 +103,27 @@ def _validate_spec(spec: RunSpec) -> None:
         )
 
 
-Column = tuple[str, Callable[[float], float]]
+# A column maps a block of taus to one value per tau.
+Column = tuple[str, Callable[[np.ndarray], np.ndarray]]
+
+# Rows evaluated per block: bounds the memory a column may use, however large
+# --samples is.
+_ROW_BLOCK = 256
+
+
+def _per_tau(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    # a column over a layer that takes one tau at a time
+    return lambda taus: np.array([fn(tau) for tau in taus.tolist()])
+
+
+def _c2_column(purity_at: Callable[[float], float], d: int) -> Callable[[np.ndarray], np.ndarray]:
+    purities = _per_tau(purity_at)
+    return lambda taus: c_squared(purities(taus), d)
 
 
 def _sweep_columns(spec: RunSpec) -> list[Column]:
     s = SpinMagnitude(spec.two_s)
+    coherent = spec.state == "coherent"
     want_f = spec.quantity in ("f", "both")
     want_c2 = spec.quantity in ("c2", "both")
     include = {spec.method} if spec.method != "all" else {"exact", "closed", "approx"}
@@ -115,39 +132,32 @@ def _sweep_columns(spec: RunSpec) -> list[Column]:
     if want_f:
         if "exact" in include:
             weights = SpectralWeights.from_state(_make_state(spec.state, s))
-            cols.append(("f_exact", lambda tau, w=weights: f_general(w, tau).real))
+            cols.append(("f_exact", _per_tau(lambda tau: f_general(weights, tau).real)))
         if "closed" in include:
-            closed = f_coherent if spec.state == "coherent" else f_uniform
-            cols.append(("f_closed", lambda tau, fn=closed: fn(s, tau)))
-        if ("approx" in include and spec.state == "coherent" and s.two_s >= 1) or include & {
-            "asymptotic",
-            "echo",
-        }:
-            cols.append(("f_gauss", lambda tau: f_gaussian_approx(s, tau)))
-        if "approx" in include and spec.state == "uniform":
-            cols.append(("f_sinc", lambda tau: f_sinc_approx(tau)))
+            cols.append(("f_closed", partial(f_coherent if coherent else f_uniform, s)))
+        if ("approx" in include and coherent) or include & {"asymptotic", "echo"}:
+            cols.append(("f_gauss", partial(f_gaussian_approx, s)))
+        if "approx" in include and not coherent:
+            cols.append(("f_sinc", f_sinc_approx))
     if want_c2:
         if "exact" in include:
             psi = _make_state(spec.state, s)
             cfg = SystemConfig(s, spec.j)
 
-            def c2_exact(tau: float) -> float:
-                joint = evolve_product(psi, psi, tau / cfg.j, cfg)
-                return c_squared(purity(reduced_density(joint)), s.d)
+            def exact_purity(tau: float) -> float:
+                return purity(reduced_density(evolve_product(psi, psi, tau / cfg.j, cfg)))
 
-            cols.append(("c2_exact", c2_exact))
+            cols.append(("c2_exact", _c2_column(exact_purity, s.d)))
         if "closed" in include:
-            pur = purity_coherent_closed if spec.state == "coherent" else purity_uniform_closed
-            cols.append(("c2_closed", lambda tau, fn=pur: c_squared(fn(s, tau), s.d)))
-        asym_ok = spec.state == "coherent" and s.two_s >= 2
+            pur = purity_coherent_closed if coherent else purity_uniform_closed
+            cols.append(("c2_closed", _c2_column(partial(pur, s), s.d)))
+        asym_ok = coherent and s.two_s >= 2
         echo_ok = asym_ok and spec.m_max <= s.two_s
         if "asymptotic" in include or ("approx" in include and asym_ok):
-            cols.append(("c2_asym", lambda tau: c2_coherent_asymptotic(s, tau)))
+            cols.append(("c2_asym", partial(c2_coherent_asymptotic, s)))
         if "echo" in include or ("approx" in include and echo_ok):
             mcfg = MinimaConfig(spec.m_max)
-            cols.append(
-                ("c2_echo", lambda tau: c2_coherent_asymptotic_minima(s, tau, mcfg))
-            )
+            cols.append(("c2_echo", lambda taus: c2_coherent_asymptotic_minima(s, taus, mcfg)))
     return cols
 
 
@@ -165,13 +175,11 @@ def _write_table(
     names = [name for name, _ in cols]
     header = ["tau"] + (["t"] if j is not None else []) + names
     out.write(",".join(header) + "\n")
-    for tau in taus:
-        tau = float(tau)
-        row = [_fmt(tau)]
-        if j is not None:
-            row.append(_fmt(tau / j))
-        row.extend(_fmt(fn(tau)) for _, fn in cols)
-        out.write(",".join(row) + "\n")
+    for start in range(0, len(taus), _ROW_BLOCK):
+        block = taus[start : start + _ROW_BLOCK]
+        values = [block] + ([block / j] if j is not None else []) + [fn(block) for _, fn in cols]
+        rows = zip(*(v.tolist() for v in values))
+        out.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
 def run_sweep(spec: RunSpec, out: TextIO) -> None:
@@ -204,48 +212,43 @@ def _figure_columns(name: str) -> tuple[list[Column], float, dict[str, object]]:
         spins = [1, 2, 3, 9]
         for two_s in spins:
             s = SpinMagnitude(two_s)
-            cols.append((f"f_coh_s{lbl(two_s)}", lambda tau, s=s: f_coherent(s, tau)))
-            cols.append((f"f_sup_s{lbl(two_s)}", lambda tau, s=s: f_uniform(s, tau)))
+            cols.append((f"f_coh_s{lbl(two_s)}", partial(f_coherent, s)))
+            cols.append((f"f_sup_s{lbl(two_s)}", partial(f_uniform, s)))
         return cols, 18.0 * math.pi, {"spins_two_s": spins}
     if name == "fig1b":
         spins = [50, 200]
         for two_s in spins:
             s = SpinMagnitude(two_s)
-            cols.append((f"f_coh_s{lbl(two_s)}", lambda tau, s=s: f_coherent(s, tau)))
-            cols.append((f"f_gauss_s{lbl(two_s)}", lambda tau, s=s: f_gaussian_approx(s, tau)))
-            cols.append((f"f_sup_s{lbl(two_s)}", lambda tau, s=s: f_uniform(s, tau)))
-        cols.append(("f_sinc", lambda tau: f_sinc_approx(tau)))
+            cols.append((f"f_coh_s{lbl(two_s)}", partial(f_coherent, s)))
+            cols.append((f"f_gauss_s{lbl(two_s)}", partial(f_gaussian_approx, s)))
+            cols.append((f"f_sup_s{lbl(two_s)}", partial(f_uniform, s)))
+        cols.append(("f_sinc", f_sinc_approx))
         return cols, 60.0, {"spins_two_s": spins}
     if name == "fig2a":
         spins = [1, 2, 3]
         for two_s in spins:
             s = SpinMagnitude(two_s)
             cols.append(
-                (
-                    f"c2_coh_s{lbl(two_s)}",
-                    lambda tau, s=s: c_squared(purity_coherent_closed(s, tau), s.d),
-                )
+                (f"c2_coh_s{lbl(two_s)}", _c2_column(partial(purity_coherent_closed, s), s.d))
             )
         return cols, 6.0 * math.pi, {"spins_two_s": spins}
     if name == "fig2b":
         s = SpinMagnitude(9)
-        cols.append(("c2_coh_s4.5", lambda tau: c_squared(purity_coherent_closed(s, tau), s.d)))
+        cols.append(("c2_coh_s4.5", _c2_column(partial(purity_coherent_closed, s), s.d)))
         return cols, 9.0 * math.pi, {"spins_two_s": [9]}
     if name == "fig3":
         s = SpinMagnitude(9)
         mcfg = MinimaConfig(4)
-        cols.append(("c2_exact", lambda tau: c_squared(purity_coherent_closed(s, tau), s.d)))
-        cols.append(("c2_asym", lambda tau: c2_coherent_asymptotic(s, tau)))
-        cols.append(("c2_echo", lambda tau: c2_coherent_asymptotic_minima(s, tau, mcfg)))
+        cols.append(("c2_exact", _c2_column(partial(purity_coherent_closed, s), s.d)))
+        cols.append(("c2_asym", partial(c2_coherent_asymptotic, s)))
+        cols.append(("c2_echo", lambda taus: c2_coherent_asymptotic_minima(s, taus, mcfg)))
         return cols, 9.0 * math.pi, {"spins_two_s": [9], "m_max": 4}
     if name == "fig4":
         spins = [20, 200, 2000, 20000]
         for two_s in spins:
             s = SpinMagnitude(two_s)
-            cols.append((f"f_gauss_s{lbl(two_s)}", lambda tau, s=s: f_gaussian_approx(s, tau)))
-            cols.append(
-                (f"c2_asym_s{lbl(two_s)}", lambda tau, s=s: c2_coherent_asymptotic(s, tau))
-            )
+            cols.append((f"f_gauss_s{lbl(two_s)}", partial(f_gaussian_approx, s)))
+            cols.append((f"c2_asym_s{lbl(two_s)}", partial(c2_coherent_asymptotic, s)))
         return cols, 20.0, {"spins_two_s": spins}
     raise UsageError(f"unknown figure {name!r}; choose from {_FIGURES}")
 

@@ -7,13 +7,14 @@ very large S.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
-from .spin_core import LN2, SpinMagnitude, central_binomial_weight
+from .spin_core import LN2, SpinMagnitude, _float_or_array, central_binomial_weight, log_binomial
 from .evolution import JointState
 from .observables import SpectralWeights, f_general
 
@@ -52,28 +53,51 @@ def reduced_density(joint: JointState) -> ReducedDensity:
 
 
 def purity(rho: ReducedDensity) -> float:
-    """Tr rho^2 = sum_ij |rho_ij|^2 for a Hermitian density matrix."""
-    return math.fsum((np.abs(rho.rho) ** 2).ravel())
+    """Tr rho^2 = sum_ij |rho_ij|^2 for a Hermitian density matrix.
+
+    The terms are non-negative, so the plain dot product is accurate to at
+    worst d^2 ulps relative; no compensated sum is needed.
+    """
+    return float(np.vdot(rho.rho, rho.rho).real)
 
 
-def c_squared(purity_value: float, d: int) -> float:
+def c_squared(purity_value: float | np.ndarray, d: int) -> float | np.ndarray:
     """Squared I-concurrence d/(d-1) (1 - purity), clipped into [0, 1].
 
     Purity slightly outside [1/d, 1] from rounding (within 1e-9) is clipped;
-    anything further out is rejected.
+    anything further out is rejected.  ``purity_value`` may be an array, in
+    which case every element is checked.
     """
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError(f"d must be an integer >= 2, got {d!r}")
     lo = 1.0 / d
-    if purity_value < lo - PURITY_SLACK or purity_value > 1.0 + PURITY_SLACK:
-        raise ValueError(f"purity {purity_value!r} outside [{lo}, 1]")
-    p = min(max(purity_value, lo), 1.0)
-    return d * (1.0 - p) / (d - 1.0)
+    p = np.asarray(purity_value, dtype=np.float64)
+    outside = (p < lo - PURITY_SLACK) | (p > 1.0 + PURITY_SLACK)
+    if np.any(outside):
+        raise ValueError(f"purity {float(p[outside][0])!r} outside [{lo}, 1]")
+    p = np.minimum(np.maximum(p, lo), 1.0)
+    return _float_or_array(d * (1.0 - p) / (d - 1.0))
 
 
-def _log_binom_row(n: int, ks: np.ndarray) -> np.ndarray:
-    # same grouping as spin_core.log_binomial, vectorized
-    return gammaln(n + 1) - (gammaln(ks + 1) + gammaln(n - ks + 1))
+class _ClosedConstants(NamedTuple):
+    """Per-spin constants of both closed-form purities; the arrays are read-only."""
+
+    m_over_two_s: np.ndarray  # M / 2S for M = 1 .. 2S
+    log_weights: np.ndarray  # ln[C(4S, 2S + M) 2^(-4S)]
+    multiplicity: np.ndarray  # d - M
+    central_weight: float  # 2^(-4S) C(4S, 2S)
+
+
+@functools.lru_cache(maxsize=1)
+def _closed_constants(two_s: int) -> _ClosedConstants:
+    # One entry: sweeps and figure columns call one spin for a block of taus
+    # at a time, so a single entry hits on every call after the first.
+    mm = np.arange(1, two_s + 1)
+    four_s = 2 * two_s
+    arrays = (mm / two_s, log_binomial(four_s, two_s + mm) - four_s * LN2, two_s + 1.0 - mm)
+    for a in arrays:
+        a.flags.writeable = False
+    return _ClosedConstants(*arrays, central_binomial_weight(two_s))
 
 
 def purity_coherent_closed(s: SpinMagnitude, tau: float) -> float:
@@ -82,32 +106,30 @@ def purity_coherent_closed(s: SpinMagnitude, tau: float) -> float:
     Tr rho1^2 = 2^(1-4S) sum_{M=1}^{2S} C(4S, 2S+M) cos(M tau / 2S)^(4S)
                 + 2^(-4S) C(4S, 2S)
 
-    evaluated with log-space binomials and exact compensated summation, so
-    S of a few thousand costs milliseconds and never overflows.
+    evaluated with log-space binomials, so it never overflows.  Every term is
+    non-negative (4S is even), so the pairwise sum is accurate to a few ulps
+    relative.
     """
     if s.two_s < 1:
         raise ValueError("purity needs two_s >= 1")
-    four_s = 2 * s.two_s
-    mm = np.arange(1, s.two_s + 1)
-    logw = _log_binom_row(four_s, s.two_s + mm) - four_s * LN2
-    c = np.cos(mm * (tau / s.two_s))
+    const = _closed_constants(s.two_s)
     with np.errstate(divide="ignore"):
-        log_cos = np.log(np.abs(c))
-    # cos == 0 kills the term; 4S is even so every term is non-negative
-    terms = np.where(c == 0.0, 0.0, np.exp(logw + four_s * log_cos))
-    return 2.0 * math.fsum(terms) + central_binomial_weight(s.two_s)
+        log_cos = np.log(np.abs(np.cos(tau * const.m_over_two_s)))
+    # cos == 0 gives exp(-inf) = 0, which kills the term
+    terms = np.exp(const.log_weights + (2 * s.two_s) * log_cos)
+    return 2.0 * float(terms.sum()) + const.central_weight
 
 
 def _fejer_ratio(y: np.ndarray, d: int) -> np.ndarray:
-    # (1 - cos(d y)) / (1 - cos y) = [sin(d y / 2) / sin(y / 2)]^2 with the
-    # removable singularity at y = 2 pi k evaluated as d^2
-    y = np.asarray(y, dtype=np.float64)
-    singular = (1.0 - np.cos(y)) < 1e-12
+    # (1 - cos(d y)) / (1 - cos y) = [sin(d y / 2) / sin(y / 2)]^2, through the
+    # reduced distance eps to the nearest y = 2 pi k.  sin(eps / 2) is zero only
+    # at eps == 0 exactly, where the removable singularity takes its limit d^2;
+    # anywhere else the quotient of sines is accurate however small eps is.
     k = np.round(y / (2.0 * math.pi))
-    eps = y - 2.0 * math.pi * k  # reduced distance to the nearest singular point
+    eps = y - 2.0 * math.pi * k
     den = np.sin(0.5 * eps)
-    num = np.sin(0.5 * d * eps)
-    ratio = (num / np.where(singular, 1.0, den)) ** 2
+    singular = den == 0.0
+    ratio = (np.sin(0.5 * d * eps) / np.where(singular, 1.0, den)) ** 2
     return np.where(singular, float(d * d), ratio)
 
 
@@ -117,15 +139,16 @@ def purity_uniform_closed(s: SpinMagnitude, tau: float) -> float:
     Tr rho1^2 = (2/d^4) sum_{M=1}^{d-1} (d - M) (1 - cos(tau M d / S))
                 / (1 - cos(tau M / S)) + 1/d
 
-    with each ratio taken through its removable singularities.
+    with each ratio taken through its removable singularities.  The terms are
+    non-negative, so the pairwise sum is accurate to a few ulps relative.
     """
     if s.two_s < 1:
         raise ValueError("purity needs two_s >= 1")
     d = s.d
-    mm = np.arange(1, d)
-    y = mm * (2.0 * tau / s.two_s)  # tau M / S
-    terms = (d - mm) * _fejer_ratio(y, d)
-    return 2.0 * math.fsum(terms) / d**4 + 1.0 / d
+    const = _closed_constants(s.two_s)
+    y = (2.0 * tau) * const.m_over_two_s  # tau M / S
+    terms = const.multiplicity * _fejer_ratio(y, d)
+    return 2.0 * float(terms.sum()) / d**4 + 1.0 / d
 
 
 def purity_spectral(w1: SpectralWeights, w2: SpectralWeights, tau: float) -> float:

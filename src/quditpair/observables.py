@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import SpinMagnitude, signed_cos_pow
+from .spin_core import SpinMagnitude, _float_or_array, _ladder, signed_cos_pow
 from .state_prep import SingleSpinState
 
 WEIGHT_TOL = 1e-12
@@ -50,9 +50,7 @@ def f_general(w: SpectralWeights, tau: float) -> complex:
 
 def denom_s1_plus(psi: SingleSpinState) -> complex:
     """Initial raising expectation <psi|S+|psi> = sum_m C*_m C_{m-1} sqrt((S-m+1)(S+m))."""
-    two_s = psi.s.two_s
-    two_m = psi.s.two_m_values()
-    lv = np.sqrt(((two_s - two_m[1:] + 2) * (two_s + two_m[1:])).astype(np.float64)) / 2.0
+    lv = _ladder(psi.s.two_s, psi.s.two_m_values()[1:])
     terms = np.conj(psi.amps[1:]) * psi.amps[:-1] * lv
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
@@ -69,42 +67,46 @@ def mean_s1x(psi1: SingleSpinState, psi2: SingleSpinState, tau: float) -> float:
     return float((f * denom_s1_plus(psi1)).real)
 
 
-def f_coherent(s: SpinMagnitude, tau: float) -> float:
-    """Closed-form signal for the coherent state: cos(tau / 2S) ** 2S."""
+def f_coherent(s: SpinMagnitude, tau: float | np.ndarray) -> float | np.ndarray:
+    """Closed-form signal for the coherent state: cos(tau / 2S) ** 2S; tau may be an array."""
     if s.two_s < 1:
         raise ValueError("signal needs two_s >= 1")
-    return signed_cos_pow(tau / s.two_s, s.two_s)
+    return signed_cos_pow(np.asarray(tau, dtype=np.float64) / s.two_s, s.two_s)
 
 
-def f_uniform(s: SpinMagnitude, tau: float) -> float:
+def f_uniform(s: SpinMagnitude, tau: float | np.ndarray) -> float | np.ndarray:
     """Closed-form signal for the uniform state: sin((2S+1) x) / (d sin x), x = tau / 2S.
 
     The removable singularities at x = k pi are evaluated by their Dirichlet
-    limit: unit magnitude, sign (-1)^(k (d-1)).
+    limit: unit magnitude, sign (-1)^(k (d-1)).  tau may be an array.
     """
     if s.two_s < 1:
         raise ValueError("signal needs two_s >= 1")
     d = s.d
-    x = tau / s.two_s
-    if abs(math.sin(x)) < 1e-8:
-        k = round(x / math.pi)
-        delta = x - k * math.pi
-        sign = -1.0 if (s.two_s % 2 == 1 and k % 2 == 1) else 1.0
-        dd = float(d * d - 1)
-        # Dirichlet-kernel limit with a 3-term Taylor tail in delta
-        return sign * (1.0 - dd * delta**2 / 6.0 + dd * (3.0 * d * d - 7.0) * delta**4 / 360.0)
-    return math.sin(d * x) / (d * math.sin(x))
+    x = np.asarray(tau, dtype=np.float64) / s.two_s
+    sin_x = np.sin(x)
+    k = np.round(x / math.pi)
+    delta = x - k * math.pi
+    sign = np.where((s.two_s % 2 == 1) & (k % 2 == 1), -1.0, 1.0)
+    dd = float(d * d - 1)
+    # Dirichlet-kernel limit with a 3-term Taylor tail in delta
+    near = sign * (1.0 - dd * delta**2 / 6.0 + dd * (3.0 * d * d - 7.0) * delta**4 / 360.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = np.sin(d * x) / (d * sin_x)
+    return _float_or_array(np.where(np.abs(sin_x) < 1e-8, near, far))
 
 
-def f_gaussian_approx(s: SpinMagnitude, tau: float) -> float:
-    """Large-S Gaussian envelope exp(-tau^2 / 4S) of the coherent signal."""
+def f_gaussian_approx(s: SpinMagnitude, tau: float | np.ndarray) -> float | np.ndarray:
+    """Large-S Gaussian envelope exp(-tau^2 / 4S) of the coherent signal; tau may be an array."""
     if s.two_s < 1:
         raise ValueError("signal needs two_s >= 1")
-    return math.exp(-tau * tau / (2.0 * s.two_s))
+    tau = np.asarray(tau, dtype=np.float64)
+    return _float_or_array(np.exp(-tau * tau / (2.0 * s.two_s)))
 
 
-def f_sinc_approx(tau: float) -> float:
-    """Large-S limit sin(tau) / tau of the uniform signal."""
-    if abs(tau) < 1e-8:
-        return 1.0 - tau * tau / 6.0
-    return math.sin(tau) / tau
+def f_sinc_approx(tau: float | np.ndarray) -> float | np.ndarray:
+    """Large-S limit sin(tau) / tau of the uniform signal; tau may be an array."""
+    tau = np.asarray(tau, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = np.sin(tau) / tau
+    return _float_or_array(np.where(np.abs(tau) < 1e-8, 1.0 - tau * tau / 6.0, far))

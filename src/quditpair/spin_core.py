@@ -11,10 +11,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 LN2 = math.log(2.0)
 
 _AXES = ("x", "y", "z", "plus", "minus")
+
+
+def _float_or_array(values: np.ndarray) -> float | np.ndarray:
+    # a 0-d result goes back to the caller as a Python float
+    return float(values) if values.ndim == 0 else values
+
 
 
 @dataclass(frozen=True)
@@ -64,12 +71,21 @@ class OperatorMatrix:
     entries: np.ndarray
 
 
+def _ladder(two_s: int, two_m: int | np.ndarray) -> float | np.ndarray:
+    """sqrt((S - m + 1)(S + m)) = sqrt((2S - 2m + 2)(2S + 2m)) / 2 from the doubled 2m.
+
+    The product under the square root is formed in integer arithmetic, so
+    half-integer spins lose nothing; ``two_m`` may be an integer array.
+    """
+    prod = (two_s - two_m + 2) * (two_s + two_m)
+    return _float_or_array(np.sqrt(np.asarray(prod, dtype=np.float64)) / 2.0)
+
+
 def ladder_element(s: SpinMagnitude, m: float) -> float:
     """Raising matrix element <m|S+|m-1> = sqrt((S - m + 1)(S + m)).
 
     ``m`` must be one of the spin's projections with m - 1 also in range,
-    i.e. m in {-S + 1, ..., S}.  The product under the square root is formed
-    in integer arithmetic so half-integer spins lose nothing.
+    i.e. m in {-S + 1, ..., S}.
     """
     two_m = round(2.0 * m)
     if 2.0 * m != two_m:
@@ -79,15 +95,7 @@ def ladder_element(s: SpinMagnitude, m: float) -> float:
         raise ValueError(f"m={m} is not a projection of S={s.s}")
     if not (-s.two_s + 2 <= two_m <= s.two_s):
         raise ValueError(f"m={m} out of ladder range for S={s.s}")
-    prod = (s.two_s - two_m + 2) * (s.two_s + two_m)
-    return math.sqrt(prod) / 2.0
-
-
-def _ladder_values(s: SpinMagnitude) -> np.ndarray:
-    # entry i couples k=i+1 (projection m) to k=i (projection m-1)
-    two_m = np.arange(-s.two_s + 2, s.two_s + 1, 2)
-    prod = (s.two_s - two_m + 2) * (s.two_s + two_m)
-    return np.sqrt(prod.astype(np.float64)) / 2.0
+    return _ladder(s.two_s, two_m)
 
 
 def operator_matrix(s: SpinMagnitude, axis: str) -> OperatorMatrix:
@@ -104,7 +112,8 @@ def operator_matrix(s: SpinMagnitude, axis: str) -> OperatorMatrix:
     if key == "z":
         entries = np.diag(s.m_values()).astype(np.complex128)
         return OperatorMatrix(d, entries)
-    lv = _ladder_values(s)
+    # entry i couples k=i+1 (projection m) to k=i (projection m-1)
+    lv = _ladder(s.two_s, s.two_m_values()[1:])
     plus = np.diag(lv, k=-1).astype(np.complex128)
     if key == "plus":
         return OperatorMatrix(d, plus)
@@ -116,40 +125,43 @@ def operator_matrix(s: SpinMagnitude, axis: str) -> OperatorMatrix:
     return OperatorMatrix(d, (plus - minus) / 2j)
 
 
-def log_binomial(n: int, k: int) -> float:
+def log_binomial(n: int, k: int | np.ndarray) -> float | np.ndarray:
     """ln C(n, k) through log-gamma; -inf for k outside [0, n].
 
-    The two subtracted terms are grouped so the value is exactly symmetric
-    under k <-> n - k.
+    ``k`` may be an integer or an integer array.  The two subtracted terms
+    are grouped so the value is exactly symmetric under k <-> n - k.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu":
         raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 0 or k > n:
-        return -math.inf
-    return math.lgamma(n + 1) - (math.lgamma(k + 1) + math.lgamma(n - k + 1))
+    inside = (ks >= 0) & (ks <= n)
+    ks = np.where(inside, ks, 0).astype(np.float64)  # exact below 2**53
+    values = gammaln(n + 1.0) - (gammaln(ks + 1.0) + gammaln(n - ks + 1.0))
+    return _float_or_array(np.where(inside, values, -np.inf))
 
 
-def signed_cos_pow(x: float, p: int) -> float:
+def signed_cos_pow(x: float | np.ndarray, p: int) -> float | np.ndarray:
     """cos(x)**p for integer p >= 0, evaluated as sign * exp(p ln|cos x|).
 
     Stable for large p where naive powering would underflow prematurely or
-    lose the sign; cos(x) == 0 with p > 0 gives exactly 0.
+    lose the sign; cos(x) == 0 with p > 0 gives exp(-inf), exactly 0.  ``x``
+    may be an array.
     """
     if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
         raise ValueError(f"p must be an integer, got {p!r}")
     if p < 0:
         raise ValueError(f"p must be non-negative, got {p}")
+    c = np.cos(np.asarray(x, dtype=np.float64))
     if p == 0:
-        return 1.0
-    c = math.cos(x)
-    if c == 0.0:
-        return 0.0
-    sign = -1.0 if (c < 0.0 and p % 2 == 1) else 1.0
-    return sign * math.exp(p * math.log(abs(c)))
+        return _float_or_array(np.ones_like(c))
+    with np.errstate(divide="ignore"):
+        magnitude = np.exp(p * np.log(np.abs(c)))
+    signed = -magnitude if p % 2 == 1 else magnitude
+    return _float_or_array(np.where(c < 0.0, signed, magnitude))
 
 
 def central_binomial_weight(n: int) -> float:

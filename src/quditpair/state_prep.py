@@ -42,7 +42,7 @@ def coherent_x(s: SpinMagnitude) -> SingleSpinState:
     Amplitudes are assembled in log space so large S stays finite; the
     binomial symmetry C_m = C_{-m} is exact.
     """
-    logw = np.array([log_binomial(s.two_s, k) for k in range(s.d)])
+    logw = log_binomial(s.two_s, np.arange(s.d))
     amps = np.exp(0.5 * logw - 0.5 * s.two_s * LN2).astype(np.complex128)
     return SingleSpinState(s, amps)
 

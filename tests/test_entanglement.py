@@ -169,6 +169,14 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             purity_spectral(w1, w2, 0.5)
 
+    def test_uniform_near_removable_singularity_at_classical_scale(self):
+        # y = M tau / S lands within 1.4e-6 of a multiple of 2 pi here, where
+        # the Fejer ratio is below its limit d^2 by ~(d eps)^2 / 12; the
+        # reference is a 30-digit mpmath evaluation of the closed form
+        s = SpinMagnitude(19867)
+        c2 = c_squared(purity_uniform_closed(s, 7.986950880780051), s.d)
+        assert abs(c2 - 0.9999706405447685) < 1e-12
+
     def test_uniform_preparation_entangles_faster_at_larger_spin(self):
         # the uniform state's quadratic C^2 coefficient scales like S^2, so
         # its sup over an early window grows with spin (the coherent state's
