@@ -29,10 +29,9 @@ from .observables import (
 )
 from .entanglement import (
     c_squared,
-    purity,
     purity_coherent_closed,
+    purity_spectral,
     purity_uniform_closed,
-    reduced_density,
 )
 from .asymptotics import MinimaConfig, c2_coherent_asymptotic, c2_coherent_asymptotic_minima
 from . import oracle
@@ -82,12 +81,17 @@ def _validate_spec(spec: RunSpec) -> None:
         raise UsageError(f"--quantity must be one of {_QUANTITIES}, got {spec.quantity!r}")
     if spec.method not in _METHODS:
         raise UsageError(f"--method must be one of {_METHODS}, got {spec.method!r}")
-    if not (spec.tau_max > 0.0):
-        raise UsageError(f"--tau-max must be positive, got {spec.tau_max}")
+    if not (math.isfinite(spec.tau_max) and spec.tau_max > 0.0):
+        raise UsageError(f"--tau-max must be positive and finite, got {spec.tau_max}")
     if spec.samples < 2:
         raise UsageError(f"--samples must be >= 2, got {spec.samples}")
-    if not (spec.j > 0.0):
-        raise UsageError(f"--j must be positive, got {spec.j}")
+    if not (math.isfinite(spec.j) and spec.j > 0.0):
+        raise UsageError(f"--j must be positive and finite, got {spec.j}")
+    tau_end = _tau_end(spec)
+    if not (math.isfinite(tau_end) and math.isfinite(tau_end / spec.j)):
+        raise UsageError(
+            f"the sweep end tau = {tau_end} and t = tau / J = {tau_end / spec.j} must be finite"
+        )
     if spec.m_max < 2:
         raise UsageError(f"--m-max must be >= 2, got {spec.m_max}")
     if spec.method in ("asymptotic", "echo") and spec.state != "coherent":
@@ -98,7 +102,7 @@ def _validate_spec(spec: RunSpec) -> None:
         raise UsageError(f"--m-max {spec.m_max} exceeds 2S = {spec.two_s}")
     if spec.method in ("exact", "all") and spec.two_s > _EXACT_TWO_S_LIMIT:
         raise UsageError(
-            f"the exact tensor path is limited to --two-s <= {_EXACT_TWO_S_LIMIT}; "
+            f"the exact path is limited to --two-s <= {_EXACT_TWO_S_LIMIT}; "
             "use --method closed or asymptotic* for larger spins"
         )
 
@@ -127,11 +131,12 @@ def _sweep_columns(spec: RunSpec) -> list[Column]:
     want_f = spec.quantity in ("f", "both")
     want_c2 = spec.quantity in ("c2", "both")
     include = {spec.method} if spec.method != "all" else {"exact", "closed", "approx"}
+    if "exact" in include:
+        weights = SpectralWeights.from_state(_make_state(spec.state, s))
 
     cols: list[Column] = []
     if want_f:
         if "exact" in include:
-            weights = SpectralWeights.from_state(_make_state(spec.state, s))
             cols.append(("f_exact", _per_tau(lambda tau: f_general(weights, tau).real)))
         if "closed" in include:
             cols.append(("f_closed", partial(f_coherent if coherent else f_uniform, s)))
@@ -141,13 +146,9 @@ def _sweep_columns(spec: RunSpec) -> list[Column]:
             cols.append(("f_sinc", f_sinc_approx))
     if want_c2:
         if "exact" in include:
-            psi = _make_state(spec.state, s)
-            cfg = SystemConfig(s, spec.j)
-
-            def exact_purity(tau: float) -> float:
-                return purity(reduced_density(evolve_product(psi, psi, tau / cfg.j, cfg)))
-
-            cols.append(("c2_exact", _c2_column(exact_purity, s.d)))
+            cols.append(
+                ("c2_exact", lambda taus: c_squared(purity_spectral(weights, weights, taus), s.d))
+            )
         if "closed" in include:
             pur = purity_coherent_closed if coherent else purity_uniform_closed
             cols.append(("c2_closed", _c2_column(partial(pur, s), s.d)))
@@ -182,11 +183,16 @@ def _write_table(
         out.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
+def _tau_end(spec: RunSpec) -> float:
+    # the last tau of the sweep, with --period-units resolved
+    return spec.tau_max * (2.0 * math.pi * spec.two_s) if spec.period_units else spec.tau_max
+
+
 def run_sweep(spec: RunSpec, out: TextIO) -> None:
     """Write the sweep CSV described by spec; raises UsageError when invalid."""
     _validate_spec(spec)
     s = SpinMagnitude(spec.two_s)
-    tau_max = spec.tau_max * (2.0 * math.pi * s.two_s) if spec.period_units else spec.tau_max
+    tau_max = _tau_end(spec)
     taus = np.linspace(0.0, tau_max, spec.samples)
     meta: dict[str, object] = {
         "two_s": spec.two_s,
@@ -270,14 +276,15 @@ def run_verify(max_two_s: int, samples: int, tolerance: float, out: TextIO) -> i
     For every spin up to max_two_s and both initial states, `samples` times
     tau are drawn over one recurrence period with a fixed seed, and the
     evolved amplitudes, transverse signal, and purity are compared against
-    the dense-tensor computation.
+    the dense-tensor computation.  The exact purity is the spectral engine
+    that `sweep` prints as c2_exact, evaluated over all the taus at once.
     """
     if not 1 <= max_two_s <= _EXACT_TWO_S_LIMIT:
         raise UsageError(f"--max-two-s must be in [1, {_EXACT_TWO_S_LIMIT}], got {max_two_s}")
     if samples < 1:
         raise UsageError(f"--samples must be >= 1, got {samples}")
-    if tolerance < 0.0:
-        raise UsageError(f"--tolerance must be non-negative, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise UsageError(f"--tolerance must be non-negative and finite, got {tolerance}")
 
     rng = np.random.default_rng(_VERIFY_SEED)
     failures = 0
@@ -291,14 +298,14 @@ def run_verify(max_two_s: int, samples: int, tolerance: float, out: TextIO) -> i
             pur_closed = purity_coherent_closed if state_name == "coherent" else purity_uniform_closed
             f_closed = f_coherent if state_name == "coherent" else f_uniform
             denom0 = oracle.oracle_mean_s1x(oracle.oracle_evolve(psi, psi, 0.0, cfg))
+            pur_exact = purity_spectral(weights, weights, taus)
             worst: dict[str, tuple[float, float]] = {}
 
             def note(check: str, err: float, tau: float) -> None:
                 if check not in worst or err > worst[check][0]:
                     worst[check] = (err, tau)
 
-            for tau in taus:
-                tau = float(tau)
+            for tau, pur_ours in zip(taus.tolist(), pur_exact.tolist()):
                 ref = oracle.oracle_evolve(psi, psi, tau, cfg)
                 ours = evolve_product(psi, psi, tau, cfg)
                 note("evolve", float(np.max(np.abs(ours.amps - ref.amps))), tau)
@@ -307,7 +314,7 @@ def run_verify(max_two_s: int, samples: int, tolerance: float, out: TextIO) -> i
                 note("f-closed", abs(f_closed(s, tau) - mean_ref / denom0), tau)
                 pur_ref = oracle.oracle_purity(ref)
                 note("purity-closed", abs(pur_closed(s, tau) - pur_ref), tau)
-                note("purity-exact", abs(purity(reduced_density(ours)) - pur_ref), tau)
+                note("purity-exact", abs(pur_ours - pur_ref), tau)
             for check, (err, tau) in worst.items():
                 ok = err <= tolerance
                 failures += 0 if ok else 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from .spin_core import LN2, SpinMagnitude, _float_or_array, central_binomial_weight, log_binomial
 from .evolution import JointState
-from .observables import SpectralWeights, f_general
+from .observables import SpectralWeights
 
 PURITY_SLACK = 1e-9
 
@@ -86,6 +86,7 @@ class _ClosedConstants(NamedTuple):
     log_weights: np.ndarray  # ln[C(4S, 2S + M) 2^(-4S)]
     multiplicity: np.ndarray  # d - M
     central_weight: float  # 2^(-4S) C(4S, 2S)
+    coherent_terms: int  # coherent terms summed: up to the last weight that is not 0.0
 
 
 @functools.lru_cache(maxsize=1)
@@ -97,7 +98,10 @@ def _closed_constants(two_s: int) -> _ClosedConstants:
     arrays = (mm / two_s, log_binomial(four_s, two_s + mm) - four_s * LN2, two_s + 1.0 - mm)
     for a in arrays:
         a.flags.writeable = False
-    return _ClosedConstants(*arrays, central_binomial_weight(two_s))
+    # the weights fall with M; past the last one that is not 0.0 in float64,
+    # every coherent term is exactly 0.0
+    coherent_terms = int(np.flatnonzero(np.exp(arrays[1]) > 0.0)[-1]) + 1
+    return _ClosedConstants(*arrays, central_binomial_weight(two_s), coherent_terms)
 
 
 def purity_coherent_closed(s: SpinMagnitude, tau: float) -> float:
@@ -108,15 +112,17 @@ def purity_coherent_closed(s: SpinMagnitude, tau: float) -> float:
 
     evaluated with log-space binomials, so it never overflows.  Every term is
     non-negative (4S is even), so the pairwise sum is accurate to a few ulps
-    relative.
+    relative.  Terms whose weight alone underflows to 0.0 (M beyond about
+    sqrt(745 2S)) are 0.0 at every tau, since |cos| <= 1, and are skipped.
     """
     if s.two_s < 1:
         raise ValueError("purity needs two_s >= 1")
     const = _closed_constants(s.two_s)
+    n = const.coherent_terms
     with np.errstate(divide="ignore"):
-        log_cos = np.log(np.abs(np.cos(tau * const.m_over_two_s)))
+        log_cos = np.log(np.abs(np.cos(tau * const.m_over_two_s[:n])))
     # cos == 0 gives exp(-inf) = 0, which kills the term
-    terms = np.exp(const.log_weights + (2 * s.two_s) * log_cos)
+    terms = np.exp(const.log_weights[:n] + (2 * s.two_s) * log_cos)
     return 2.0 * float(terms.sum()) + const.central_weight
 
 
@@ -151,22 +157,66 @@ def purity_uniform_closed(s: SpinMagnitude, tau: float) -> float:
     return 2.0 * float(terms.sum()) / d**4 + 1.0 / d
 
 
-def purity_spectral(w1: SpectralWeights, w2: SpectralWeights, tau: float) -> float:
-    """Spin-1 purity from spectral weights alone.
+class _SpectralGrid(NamedTuple):
+    """Per-spin integer phase grid of the spectral purity; the array is read-only."""
 
-    rho1[m1, m2] = C_{m1} C*_{m2} f(tau (m1 - m2)), so the purity is the
-    autocorrelation of spin 1's weights against |f|^2 of spin 2's.  Used as
-    an independent route against the partial-trace and closed-form paths.
+    baby: int  # B = isqrt(d): level j = a B + b with 0 <= b < B
+    giant: int  # A = ceil(d / B) giant steps
+    steps: np.ndarray  # rows b M (b < B), then a B M (a < A), for M = 1 .. d-1
+
+
+@functools.lru_cache(maxsize=1)
+def _spectral_grid(two_s: int) -> _SpectralGrid:
+    # One entry, as for _closed_constants: a column calls one spin at a time.
+    d = two_s + 1
+    baby = math.isqrt(d)
+    giant = -(-d // baby)
+    rows = np.concatenate((np.arange(baby), baby * np.arange(giant)))  # b, then a B
+    steps = (rows[:, None] * np.arange(1, d)).astype(np.float64)  # exact integers below d^2
+    steps.flags.writeable = False
+    return _SpectralGrid(baby, giant, steps)
+
+
+def purity_spectral(
+    w1: SpectralWeights, w2: SpectralWeights, tau: float | np.ndarray
+) -> float | np.ndarray:
+    """Spin-1 purity of the evolved product state from the level weights alone.
+
+    rho1[m1, m2] = C_{m1} C*_{m2} F2(tau (m1 - m2)), so
+
+        Tr rho1^2 = R1_0 + 2 sum_{M=1}^{d-1} R1_M |F2(tau M)|^2
+
+    with R1 the autocorrelation of spin 1's weights and F2 spin 2's signal.
+    |F2(tau M)| = |sum_j w2_j z^j| with z = exp(i theta M), theta = tau / S and
+    j = m + S (the dropped common phase cancels).  Baby-step/giant-step with
+    j = a B + b: one matmul gives sum_b w2[a B + b] exp(i theta b M) for every
+    a, and a weighted sum over a with exp(i theta a B M) finishes.  Every phase
+    is theta times an exact integer, so no phase error accumulates; the result
+    is accurate to about d ulps absolute.  O(d^2) multiply-adds and
+    O(d^1.5) sines and cosines per tau.  tau may be an array: each element is
+    computed by the same code as a scalar call, so the values are bitwise
+    equal to scalar calls.
     """
     if w1.s != w2.s:
         raise ValueError("both weight sets must share the same spin magnitude")
     d = w1.s.d
-    corr = np.correlate(w1.weights, w1.weights, mode="full")  # index M + d - 1
-    terms = [
-        corr[off] * abs(f_general(w2, (off - (d - 1)) * tau)) ** 2
-        for off in range(2 * d - 1)
-    ]
-    return math.fsum(terms)
+    grid = _spectral_grid(w1.s.two_s)
+    corr = np.correlate(w1.weights, w1.weights, mode="full")[d - 1 :]  # R1_M, M = 0 .. d-1
+    blocks = np.zeros(grid.giant * grid.baby)
+    blocks[:d] = w2.weights
+    blocks = blocks.reshape(grid.giant, grid.baby)  # w2[a B + b]
+    scale = 2.0 / w1.s.two_s
+    taus = np.asarray(tau, dtype=np.float64)
+    values = np.empty(taus.shape)
+    for i, t in enumerate(taus.ravel().tolist()):
+        phase = (scale * t) * grid.steps
+        z = np.empty(phase.shape, dtype=np.complex128)
+        z.real = np.cos(phase)
+        z.imag = np.sin(phase)
+        inner = blocks @ z[: grid.baby]
+        f = np.sum(z[grid.baby :] * inner, axis=0)
+        values.flat[i] = corr[0] + 2.0 * float(corr[1:] @ (f.real**2 + f.imag**2))
+    return _float_or_array(values)
 
 
 def small_time_coefficient(kind: str, s: SpinMagnitude) -> float:

@@ -21,8 +21,8 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.s.two_s < 1:
             raise ValueError("the coupled pair needs two_s >= 1")
-        if not (self.j > 0.0):
-            raise ValueError(f"coupling j must be positive, got {self.j}")
+        if not (math.isfinite(self.j) and self.j > 0.0):
+            raise ValueError(f"coupling j must be positive and finite, got {self.j}")
 
     def period(self) -> float:
         """Recurrence time T = 4 pi S / J."""

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from quditpair import (
     MinimaConfig,
+    SpectralWeights,
     SpinMagnitude,
     c2_coherent_asymptotic,
     c2_coherent_asymptotic_minima,
     c_squared,
+    coherent_x,
     erf,
     f_coherent,
     f_gaussian_approx,
@@ -22,11 +24,13 @@ from quditpair import (
     f_uniform,
     log_binomial,
     purity_coherent_closed,
+    purity_spectral,
     purity_uniform_closed,
     signed_cos_pow,
+    uniform_state,
 )
 from quditpair import cli
-from quditpair.entanglement import PURITY_SLACK, _closed_constants
+from quditpair.entanglement import PURITY_SLACK, _closed_constants, _spectral_grid
 
 TWO_S = st.integers(min_value=1, max_value=300)
 
@@ -51,6 +55,12 @@ def assert_matches_scalar_calls(fn, taus):
         assert np.array_equal(values[i], scalar, equal_nan=True), (tau, values[i], scalar)
 
 
+def spectral_layer(s):
+    w1 = SpectralWeights.from_state(coherent_x(s))
+    w2 = SpectralWeights.from_state(uniform_state(s))
+    return lambda t: purity_spectral(w1, w2, t)
+
+
 LAYERS = {
     "f_coherent": lambda s: lambda t: f_coherent(s, t),
     "f_uniform": lambda s: lambda t: f_uniform(s, t),
@@ -58,6 +68,7 @@ LAYERS = {
     "f_sinc_approx": lambda s: f_sinc_approx,
     "signed_cos_pow": lambda s: lambda t: signed_cos_pow(t / s.two_s, s.two_s),
     "erf": lambda s: lambda t: erf(t / s.two_s),
+    "purity_spectral": spectral_layer,
 }
 
 
@@ -137,7 +148,8 @@ def test_closed_purity_cache_keyed_by_spin(pur, two_s_a, two_s_b, tau):
 
 def test_closed_constants_are_read_only():
     const = _closed_constants(7)
-    for values in (const.m_over_two_s, const.log_weights, const.multiplicity):
+    for values in (const.m_over_two_s, const.log_weights, const.multiplicity,
+                   _spectral_grid(7).steps):
         with pytest.raises(ValueError):
             values[0] = 0.0
 

@@ -140,6 +140,14 @@ class TestSweep:
              "--m-max", "6"],
             ["sweep", "--two-s", "200", "--tau-max", "1.0"],
             ["sweep", "--two-s", "200", "--tau-max", "1.0", "--method", "exact"],
+            ["sweep", "--two-s", "3", "--tau-max", "inf"],
+            ["sweep", "--two-s", "3", "--tau-max", "nan"],
+            ["sweep", "--two-s", "3", "--tau-max", "1.0", "--j", "inf"],
+            ["sweep", "--two-s", "3", "--tau-max", "1.0", "--j", "nan"],
+            ["sweep", "--two-s", "3", "--tau-max", "1.0", "--j", "1e-320"],
+            ["sweep", "--two-s", "3", "--tau-max", "1e308", "--period-units"],
+            ["verify", "--max-two-s", "2", "--tolerance", "nan"],
+            ["verify", "--max-two-s", "2", "--tolerance", "inf"],
         ],
     )
     def test_usage_errors_exit_two(self, argv, capsys):

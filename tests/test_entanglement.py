@@ -25,6 +25,7 @@ from quditpair import (
     time_average,
     uniform_state,
 )
+from quditpair.entanglement import _closed_constants
 
 SPINS = [1, 2, 3, 5, 9]
 
@@ -168,6 +169,21 @@ class TestClosedForms:
         w2 = SpectralWeights.from_state(uniform_state(SpinMagnitude(3)))
         with pytest.raises(ValueError):
             purity_spectral(w1, w2, 0.5)
+
+    @pytest.mark.parametrize("two_s", [537, 538, 2000, 20000])
+    def test_coherent_sum_skips_only_zero_terms(self, two_s):
+        # weights that underflow to 0.0 are skipped; below 2S = 538 none do
+        const = _closed_constants(two_s)
+        n = const.coherent_terms
+        assert (n == two_s) == (two_s < 538)
+        assert not np.any(np.exp(const.log_weights[n:]))
+        s = SpinMagnitude(two_s)
+        for tau in (0.0, 0.3, 7.0, math.pi * two_s, 25.0):
+            with np.errstate(divide="ignore"):
+                log_cos = np.log(np.abs(np.cos(tau * const.m_over_two_s)))
+            full = 2.0 * math.fsum(np.exp(const.log_weights + 2 * two_s * log_cos))
+            expect = full + const.central_weight
+            assert abs(purity_coherent_closed(s, tau) - expect) <= 1e-15 * expect
 
     def test_uniform_near_removable_singularity_at_classical_scale(self):
         # y = M tau / S lands within 1.4e-6 of a multiple of 2 pi here, where

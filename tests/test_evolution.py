@@ -37,6 +37,11 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(SpinMagnitude(1), -1.0)
 
+    @pytest.mark.parametrize("j", [math.inf, math.nan])
+    def test_rejects_non_finite_coupling(self, j):
+        with pytest.raises(ValueError):
+            SystemConfig(SpinMagnitude(1), j)
+
     def test_rejects_spinless_pair(self):
         with pytest.raises(ValueError):
             SystemConfig(SpinMagnitude(0), 1.0)
