@@ -8,7 +8,6 @@ asymptotics, and a brute-force tensor oracle used for verification.
 """
 
 from .spin_core import (
-    OperatorMatrix,
     SpinMagnitude,
     central_binomial_weight,
     ladder_element,
@@ -29,9 +28,7 @@ from .state_prep import (
 from .evolution import (
     JointState,
     SystemConfig,
-    evolve_joint,
     evolve_product,
-    recurrence_period,
 )
 from .observables import (
     SpectralWeights,
@@ -44,13 +41,10 @@ from .observables import (
     mean_s1x,
 )
 from .entanglement import (
-    ReducedDensity,
     c_squared,
-    purity,
     purity_coherent_closed,
     purity_spectral,
     purity_uniform_closed,
-    reduced_density,
     small_time_coefficient,
     time_average,
 )
@@ -61,7 +55,6 @@ from .asymptotics import (
     erf,
 )
 from .oracle import (
-    DenseHamiltonian,
     dense_hamiltonian,
     oracle_evolve,
     oracle_mean_s1x,
@@ -70,7 +63,6 @@ from .oracle import (
 
 __all__ = [
     "SpinMagnitude",
-    "OperatorMatrix",
     "ladder_element",
     "operator_matrix",
     "log_binomial",
@@ -87,8 +79,6 @@ __all__ = [
     "SystemConfig",
     "JointState",
     "evolve_product",
-    "evolve_joint",
-    "recurrence_period",
     "SpectralWeights",
     "f_general",
     "denom_s1_plus",
@@ -97,9 +87,6 @@ __all__ = [
     "f_uniform",
     "f_gaussian_approx",
     "f_sinc_approx",
-    "ReducedDensity",
-    "reduced_density",
-    "purity",
     "c_squared",
     "purity_coherent_closed",
     "purity_uniform_closed",
@@ -110,7 +97,6 @@ __all__ = [
     "erf",
     "c2_coherent_asymptotic",
     "c2_coherent_asymptotic_minima",
-    "DenseHamiltonian",
     "dense_hamiltonian",
     "oracle_evolve",
     "oracle_mean_s1x",

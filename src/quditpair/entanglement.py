@@ -1,4 +1,4 @@
-"""Reduced density matrix, purity, and the squared I-concurrence.
+"""Spin-1 purity of the evolved pair and the squared I-concurrence.
 
 C^2 = d/(d-1) (1 - Tr rho1^2).  Closed forms for the coherent and uniform
 initial states are evaluated in log space so they remain finite and fast at
@@ -9,56 +9,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .spin_core import LN2, SpinMagnitude, _float_or_array, central_binomial_weight, log_binomial
-from .evolution import JointState
 from .observables import SpectralWeights
 
 PURITY_SLACK = 1e-9
 
 _KINDS = ("coherent", "uniform")
-
-
-@dataclass(frozen=True)
-class ReducedDensity:
-    """Single-spin density matrix in the k-index basis; Hermitian, trace 1."""
-
-    s: SpinMagnitude
-    rho: np.ndarray
-
-    def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=np.complex128)
-        d = self.s.d
-        if rho.shape != (d, d):
-            raise ValueError(f"expected a {d} x {d} density matrix, got shape {rho.shape}")
-        if float(np.max(np.abs(rho - rho.conj().T))) > 1e-12:
-            raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        object.__setattr__(self, "rho", rho)
-
-
-def reduced_density(joint: JointState) -> ReducedDensity:
-    """Trace out spin 2: rho1[i, j] = sum_k A[i, k] A*[j, k]."""
-    norm_sq = float(np.sum(np.abs(joint.amps) ** 2))
-    if abs(norm_sq - 1.0) > 1e-10:
-        raise ValueError(f"joint state is not normalized: sum |A|^2 = {norm_sq!r}")
-    a = joint.matrix()
-    return ReducedDensity(joint.s, a @ a.conj().T)
-
-
-def purity(rho: ReducedDensity) -> float:
-    """Tr rho^2 = sum_ij |rho_ij|^2 for a Hermitian density matrix.
-
-    The terms are non-negative, so the plain dot product is accurate to at
-    worst d^2 ulps relative; no compensated sum is needed.
-    """
-    return float(np.vdot(rho.rho, rho.rho).real)
 
 
 def c_squared(purity_value: float | np.ndarray, d: int) -> float | np.ndarray:

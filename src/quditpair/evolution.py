@@ -29,11 +29,6 @@ class SystemConfig:
         return 2.0 * math.pi * self.s.two_s / self.j
 
 
-def recurrence_period(cfg: SystemConfig) -> float:
-    """Recurrence time T = 4 pi S / J of the coupled pair."""
-    return cfg.period()
-
-
 @dataclass(frozen=True)
 class JointState:
     """Joint amplitudes over (k1, k2), flattened row-major; unit norm."""
@@ -55,12 +50,6 @@ class JointState:
         return self.amps.reshape(self.s.d, self.s.d)
 
 
-def _pair_phase_grid(s: SpinMagnitude) -> np.ndarray:
-    # integer grid (2 m)(2 n); the physical phase is t J m n / S = t J (2m)(2n) / (2 two_s)
-    two_m = s.two_m_values()
-    return np.outer(two_m, two_m)
-
-
 def evolve_product(
     psi1: SingleSpinState, psi2: SingleSpinState, t: float, cfg: SystemConfig
 ) -> JointState:
@@ -71,16 +60,9 @@ def evolve_product(
     """
     if psi1.s != cfg.s or psi2.s != cfg.s:
         raise ValueError("states and configuration must share the same spin magnitude")
+    # integer grid (2 m)(2 n); the physical phase is t J m n / S = t J (2m)(2n) / (2 two_s)
+    two_m = cfg.s.two_m_values()
     factor = t * cfg.j / (2.0 * cfg.s.two_s)
-    phases = np.exp(1j * factor * _pair_phase_grid(cfg.s))
+    phases = np.exp(1j * factor * np.outer(two_m, two_m))
     joint = np.outer(psi1.amps, psi2.amps) * phases
     return JointState(cfg.s, joint.ravel())
-
-
-def evolve_joint(joint: JointState, t: float, cfg: SystemConfig) -> JointState:
-    """Advance an already-entangled joint state by time t under the coupling."""
-    if joint.s != cfg.s:
-        raise ValueError("joint state and configuration must share the same spin magnitude")
-    factor = t * cfg.j / (2.0 * cfg.s.two_s)
-    phases = np.exp(1j * factor * _pair_phase_grid(cfg.s)).ravel()
-    return JointState(cfg.s, joint.amps * phases)

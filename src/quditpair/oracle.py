@@ -7,8 +7,6 @@ so agreement with them is evidence, not circularity.  Intended for S <= 64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spin_core import SpinMagnitude, operator_matrix
@@ -18,19 +16,11 @@ from .state_prep import SingleSpinState
 _MAX_TWO_S = 128
 
 
-@dataclass(frozen=True)
-class DenseHamiltonian:
+def dense_hamiltonian(s: SpinMagnitude, j: float = 1.0) -> np.ndarray:
     """Diagonal of -(J/S) S1z S2z over the flattened (k1, k2) basis."""
-
-    s: SpinMagnitude
-    diag: np.ndarray
-
-
-def dense_hamiltonian(s: SpinMagnitude, j: float = 1.0) -> DenseHamiltonian:
     two_m = s.two_m_values().astype(np.float64)
     mn = np.outer(two_m, two_m) / 4.0  # exact quarter-integers
-    diag = (-(2.0 * j / s.two_s) * mn).ravel()
-    return DenseHamiltonian(s, diag)
+    return (-(2.0 * j / s.two_s) * mn).ravel()
 
 
 def _check_size(s: SpinMagnitude) -> None:
@@ -47,13 +37,13 @@ def oracle_evolve(
     _check_size(cfg.s)
     h = dense_hamiltonian(cfg.s, cfg.j)
     product = np.kron(psi1.amps, psi2.amps)
-    return JointState(cfg.s, product * np.exp(-1j * t * h.diag))
+    return JointState(cfg.s, product * np.exp(-1j * t * h))
 
 
 def oracle_mean_s1x(joint: JointState) -> float:
     """<Psi| S1x (x) I |Psi> recomputed with the explicit operator matrix."""
     _check_size(joint.s)
-    sx = operator_matrix(joint.s, "x").entries
+    sx = operator_matrix(joint.s, "x")
     a = joint.matrix()
     return float(np.trace(a.conj().T @ (sx @ a)).real)
 

@@ -40,6 +40,8 @@ class SpinMagnitude:
     @classmethod
     def from_s(cls, s: float) -> SpinMagnitude:
         """Build from S itself; S must be a non-negative half-integer."""
+        if not math.isfinite(s):
+            raise ValueError(f"S must be finite, got {s}")
         two_s = round(2.0 * s)
         if 2.0 * s != two_s:
             raise ValueError(f"S must be a half-integer, got {s}")
@@ -61,14 +63,6 @@ class SpinMagnitude:
     def m_values(self) -> np.ndarray:
         """Projections m = -S .. S in k-index order."""
         return 0.5 * self.two_m_values()
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense single-spin operator in the k-index basis."""
-
-    dim: int
-    entries: np.ndarray
 
 
 def _ladder(two_s: int, two_m: int | np.ndarray) -> float | np.ndarray:
@@ -98,7 +92,7 @@ def ladder_element(s: SpinMagnitude, m: float) -> float:
     return _ladder(s.two_s, two_m)
 
 
-def operator_matrix(s: SpinMagnitude, axis: str) -> OperatorMatrix:
+def operator_matrix(s: SpinMagnitude, axis: str) -> np.ndarray:
     """Spin operator S_axis for axis in {"x", "y", "z", "plus", "minus"}.
 
     S+ carries ladder_element at [k, k-1] (it raises m by one); the choice is
@@ -108,21 +102,19 @@ def operator_matrix(s: SpinMagnitude, axis: str) -> OperatorMatrix:
     key = axis.lower() if isinstance(axis, str) else axis
     if key not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    d = s.d
     if key == "z":
-        entries = np.diag(s.m_values()).astype(np.complex128)
-        return OperatorMatrix(d, entries)
+        return np.diag(s.m_values()).astype(np.complex128)
     # entry i couples k=i+1 (projection m) to k=i (projection m-1)
     lv = _ladder(s.two_s, s.two_m_values()[1:])
     plus = np.diag(lv, k=-1).astype(np.complex128)
     if key == "plus":
-        return OperatorMatrix(d, plus)
+        return plus
     minus = plus.T.copy()
     if key == "minus":
-        return OperatorMatrix(d, minus)
+        return minus
     if key == "x":
-        return OperatorMatrix(d, (plus + minus) / 2.0)
-    return OperatorMatrix(d, (plus - minus) / 2j)
+        return (plus + minus) / 2.0
+    return (plus - minus) / 2j
 
 
 def log_binomial(n: int, k: int | np.ndarray) -> float | np.ndarray:

@@ -59,7 +59,7 @@ def rotate_y(state: SingleSpinState, theta: float) -> SingleSpinState:
     rotate_y(ground_state(s), pi/2) reproduces coherent_x(s) up to a global
     phase.
     """
-    sy = operator_matrix(state.s, "y").entries
+    sy = operator_matrix(state.s, "y")
     evals, evecs = np.linalg.eigh(sy)
     phases = np.exp(-1j * theta * evals)
     amps = evecs @ (phases * (evecs.conj().T @ state.amps))

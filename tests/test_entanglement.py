@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from quditpair import (
-    JointState,
-    ReducedDensity,
     SpectralWeights,
     SpinMagnitude,
     SystemConfig,
@@ -16,11 +14,9 @@ from quditpair import (
     evolve_product,
     oracle_evolve,
     oracle_purity,
-    purity,
     purity_coherent_closed,
     purity_spectral,
     purity_uniform_closed,
-    reduced_density,
     small_time_coefficient,
     time_average,
     uniform_state,
@@ -44,54 +40,10 @@ def evolved_purity(kind: str, s: SpinMagnitude, tau: float) -> float:
     psi = prepare(kind, s)
     cfg = SystemConfig(s, j=1.0)
     joint = evolve_product(psi, psi, tau, cfg)
-    return purity(reduced_density(joint))
-
-
-class TestReducedDensity:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            ReducedDensity(SpinMagnitude(1), np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError):
-            ReducedDensity(SpinMagnitude(1), np.eye(2, dtype=complex))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            ReducedDensity(SpinMagnitude(2), np.eye(2, dtype=complex) / 2)
-
-    def test_product_state_is_pure(self):
-        s = SpinMagnitude(3)
-        joint = evolve_product(coherent_x(s), coherent_x(s), 0.0, SystemConfig(s))
-        rho = reduced_density(joint)
-        assert purity(rho) == pytest.approx(1.0, abs=1e-12)
-
-    def test_spin_half_maximal_entanglement(self):
-        # quarter period: reduced state of the pair is fully mixed
-        s = SpinMagnitude(1)
-        joint = evolve_product(coherent_x(s), coherent_x(s), math.pi / 2, SystemConfig(s))
-        rho = reduced_density(joint)
-        assert np.allclose(rho.rho, np.eye(2) / 2, atol=1e-12)
-
-    def test_trace_one_for_random_joint(self, rng):
-        s = SpinMagnitude(2)
-        amps = rng.normal(size=9) + 1j * rng.normal(size=9)
-        joint = JointState(s, amps / np.linalg.norm(amps))
-        rho = reduced_density(joint)
-        assert np.trace(rho.rho).real == pytest.approx(1.0, abs=1e-12)
-        assert abs(np.trace(rho.rho).imag) < 1e-15
+    return oracle_purity(joint)
 
 
 class TestPurityAndCSquared:
-    def test_pure_state(self):
-        rho = ReducedDensity(SpinMagnitude(2), np.diag([1.0, 0.0, 0.0]).astype(complex))
-        assert purity(rho) == pytest.approx(1.0)
-
-    def test_maximally_mixed(self):
-        d = 4
-        rho = ReducedDensity(SpinMagnitude(3), np.eye(d, dtype=complex) / d)
-        assert purity(rho) == pytest.approx(1 / d)
-
     def test_c_squared_endpoints(self):
         assert c_squared(1.0, 5) == 0.0
         assert c_squared(1 / 7, 7) == pytest.approx(1.0)

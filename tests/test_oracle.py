@@ -27,20 +27,18 @@ from quditpair import (
 class TestDenseHamiltonian:
     def test_two_level_diagonal(self):
         h = dense_hamiltonian(SpinMagnitude(1), j=1.0)
-        assert np.allclose(h.diag, [-0.5, 0.5, 0.5, -0.5], atol=1e-15)
+        assert np.allclose(h, [-0.5, 0.5, 0.5, -0.5], atol=1e-15)
 
     def test_coupling_scales_linearly(self):
         s = SpinMagnitude(4)
-        assert np.allclose(
-            dense_hamiltonian(s, j=3.0).diag, 3.0 * dense_hamiltonian(s, j=1.0).diag
-        )
+        assert np.allclose(dense_hamiltonian(s, j=3.0), 3.0 * dense_hamiltonian(s, j=1.0))
 
     def test_aligned_extremes(self):
         # both spins maximal: energy -J S
         s = SpinMagnitude(6)
         h = dense_hamiltonian(s, j=2.0)
-        assert h.diag[-1] == pytest.approx(-2.0 * s.s)
-        assert h.diag[0] == pytest.approx(-2.0 * s.s)
+        assert h[-1] == pytest.approx(-2.0 * s.s)
+        assert h[0] == pytest.approx(-2.0 * s.s)
 
 
 class TestOracleEvolve:

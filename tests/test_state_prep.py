@@ -65,7 +65,7 @@ class TestCoherentX:
 
     @pytest.mark.parametrize("s", SPINS, ids=lambda s: f"two_s={s.two_s}")
     def test_eigenvector_of_sx_with_maximal_eigenvalue(self, s):
-        sx = operator_matrix(s, "x").entries
+        sx = operator_matrix(s, "x")
         amps = coherent_x(s).amps
         assert np.max(np.abs(sx @ amps - s.s * amps)) < 1e-10
 
@@ -120,7 +120,7 @@ class TestRotateY:
 
     @pytest.mark.parametrize("s", SPINS, ids=lambda s: f"two_s={s.two_s}")
     def test_coherent_state_transverse_expectation(self, s):
-        sx = operator_matrix(s, "x").entries
+        sx = operator_matrix(s, "x")
         amps = coherent_x(s).amps
         assert abs(np.vdot(amps, sx @ amps).real - s.s) < 1e-10
 
