@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .spin_core import (
     SpinMagnitude,
@@ -20,8 +19,13 @@ _EXACT_M0_LIMIT = 512
 
 
 def erf(x: float | np.ndarray) -> float | np.ndarray:
-    """Gauss error function (thin wrapper over scipy.special.erf); x may be an array."""
-    return _float_or_array(special.erf(np.asarray(x, dtype=np.float64)))
+    """Gauss error function, math.erf over each element; x may be an array.
+
+    Array results are bitwise equal to scalar calls.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    values = np.fromiter(map(math.erf, x.ravel().tolist()), np.float64, count=x.size)
+    return _float_or_array(values.reshape(x.shape))
 
 
 def c2_coherent_asymptotic(s: SpinMagnitude, tau: float | np.ndarray) -> float | np.ndarray:

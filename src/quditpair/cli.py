@@ -92,6 +92,12 @@ def _validate_spec(spec: RunSpec) -> None:
         raise UsageError(
             f"the sweep end tau = {tau_end} and t = tau / J = {tau_end / spec.j} must be finite"
         )
+    # the largest phases (the spectral engine's, the Fejer ratio's) reach about
+    # 2 d tau; once one ulp of tau moves them by a radian, a row means nothing
+    if math.ulp(tau_end) * 2 * (spec.two_s + 1) >= 1.0:
+        raise UsageError(
+            f"the sweep end tau = {tau_end} is too large: ulp(tau) * 2 * (2S + 1) must be below 1"
+        )
     if spec.m_max < 2:
         raise UsageError(f"--m-max must be >= 2, got {spec.m_max}")
     if spec.method in ("asymptotic", "echo") and spec.state != "coherent":

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spin_core import LN2, SpinMagnitude, _float_or_array, central_binomial_weight, log_binomial
+from .spin_core import SpinMagnitude, _float_or_array, _log_binomial_pmf, central_binomial_weight
 from .observables import SpectralWeights
 
 PURITY_SLACK = 1e-9
@@ -55,13 +55,19 @@ def _closed_constants(two_s: int) -> _ClosedConstants:
     # at a time, so a single entry hits on every call after the first.
     mm = np.arange(1, two_s + 1)
     four_s = 2 * two_s
-    arrays = (mm / two_s, log_binomial(four_s, two_s + mm) - four_s * LN2, two_s + 1.0 - mm)
+    # Hoeffding: past M = isqrt(373 4S) + 1 every weight is below
+    # exp(-2 M^2 / 4S) < 2^-1075, so 0.0 in float64; only the band is computed
+    band = min(two_s, math.isqrt(373 * four_s) + 1)
+    log_pmf = _log_binomial_pmf(four_s, np.arange(two_s, two_s + band + 1))  # M = 0 .. band
+    log_weights = np.full(two_s, -np.inf)
+    log_weights[:band] = log_pmf[1:]
+    arrays = (mm / two_s, log_weights, two_s + 1.0 - mm)
     for a in arrays:
         a.flags.writeable = False
     # the weights fall with M; past the last one that is not 0.0 in float64,
     # every coherent term is exactly 0.0
-    coherent_terms = int(np.flatnonzero(np.exp(arrays[1]) > 0.0)[-1]) + 1
-    return _ClosedConstants(*arrays, central_binomial_weight(two_s), coherent_terms)
+    coherent_terms = int(np.flatnonzero(np.exp(log_pmf[1:]) > 0.0)[-1]) + 1
+    return _ClosedConstants(*arrays, math.exp(log_pmf[0]), coherent_terms)
 
 
 def purity_coherent_closed(s: SpinMagnitude, tau: float) -> float:

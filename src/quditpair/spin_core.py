@@ -11,9 +11,40 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 LN2 = math.log(2.0)
+
+# stirlerr(k) = ln k! - ln[sqrt(2 pi k) (k/e)^k], the error of Stirling's
+# formula.  k <= 15: Loader's values (C. Loader, "Fast and Accurate Computation
+# of Binomial Probabilities", 2000); entry 0 is a placeholder, never used.
+# 16 <= k <= _STIRLERR_TOP: the series 1/(12k) - 1/(360k^3) + ..., filled here
+# to five terms (below 2e-16 absolute at k = 16); above the table its first two
+# terms are below 1e-21 absolute.
+_STIRLERR_TOP = 4096
+_STIRLERR = np.empty(_STIRLERR_TOP + 1)
+_STIRLERR[:16] = (
+    0.0,
+    0.08106146679532725821967026,
+    0.04134069595540929409382208,
+    0.02767792568499833914878929,
+    0.02079067210376509311152277,
+    0.01664469118982119216319487,
+    0.01387612882307074799874573,
+    0.01189670994589177009505572,
+    0.01041126526197209649747857,
+    0.009255462182712732917728637,
+    0.008330563433362871256469319,
+    0.007573675487951840794972024,
+    0.006942840107209529865664153,
+    0.006408994188004207068439631,
+    0.005951370112758847735624416,
+    0.00555473355196280137103869,
+)
+_k = np.arange(16.0, _STIRLERR_TOP + 1)
+_kk = _k * _k
+_STIRLERR[16:] = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / _kk) / _kk) / _kk) / _kk) / _k
+_STIRLERR.flags.writeable = False
+del _k, _kk
 
 _AXES = ("x", "y", "z", "plus", "minus")
 
@@ -117,11 +148,61 @@ def operator_matrix(s: SpinMagnitude, axis: str) -> np.ndarray:
     return (plus - minus) / 2j
 
 
-def log_binomial(n: int, k: int | np.ndarray) -> float | np.ndarray:
-    """ln C(n, k) through log-gamma; -inf for k outside [0, n].
+def _stirlerr_at(k: int) -> float:
+    # one stirlerr value in Python floats, k >= 1
+    return float(_STIRLERR[k]) if k <= _STIRLERR_TOP else (1 / 12 - 1 / 360 / (k * k)) / k
 
-    ``k`` may be an integer or an integer array.  The two subtracted terms
-    are grouped so the value is exactly symmetric under k <-> n - k.
+
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    # stirlerr of an integer array, k >= 1: the table, then the series above it
+    kf = k.astype(np.float64)
+    return np.where(
+        k <= _STIRLERR_TOP,
+        _STIRLERR[np.minimum(k, _STIRLERR_TOP)],
+        (1 / 12 - 1 / 360 / (kf * kf)) / kf,
+    )
+
+
+def _log_binomial_pmf(n: int, k: np.ndarray) -> np.ndarray:
+    """ln[C(n, k) 2^(-n)] for an integer array 0 <= k <= n, by Loader's saddle point.
+
+    With j = min(k, n - k) and v = 1 - 2j/n,
+
+        ln pmf = stirlerr(n) - stirlerr(j) - stirlerr(n - j)
+                 - (n/2) sum_i v^(2i) / (i (2i - 1)) - (1/2) ln(2 pi j (n - j) / n)
+
+    where the sum is (1 + v) ln(1 + v) + (1 - v) ln(1 - v), Loader's
+    bd0(j, n/2) + bd0(n - j, n/2).  It is summed as a Horner series for
+    v < 0.1, where the logarithms would cancel, and through log1p beyond.
+    Evaluating at j makes the value exactly symmetric under k <-> n - k.  The
+    error is below about 1e-13 absolute for every weight above e^-40.
+    """
+    j = np.minimum(k, n - k)
+    if n < 2:
+        return np.full(j.shape, -n * LN2)
+    edge = j == 0  # the pmf is 2^(-n) there, and the form below would take log 0
+    j = np.where(edge, 1, j)
+    rest = n - j
+    v = (rest - j) / n
+    v2 = v * v
+    series = v2 * (1 + v2 * (1 / 6 + v2 * (1 / 15 + v2 * (1 / 28 + v2 * (
+        1 / 45 + v2 * (1 / 66 + v2 * (1 / 91 + v2 / 120)))))))
+    logs = (1.0 + v) * np.log1p(v) + (1.0 - v) * np.log1p(-v)
+    bd0 = (0.5 * n) * np.where(v < 0.1, series, logs)
+    if n <= _STIRLERR_TOP:  # every argument is in the table
+        st = _STIRLERR[n] - _STIRLERR[j] - _STIRLERR[rest]
+    else:
+        st = _stirlerr_at(n) - _stirlerr(j) - _stirlerr(rest)
+    values = st - bd0 - 0.5 * np.log((2.0 * math.pi) * (j * rest / n))
+    return np.where(edge, -n * LN2, values)
+
+
+def log_binomial(n: int, k: int | np.ndarray) -> float | np.ndarray:
+    """ln C(n, k); -inf for k outside [0, n].
+
+    ``k`` may be an integer or an integer array.  The value is Loader's
+    saddle-point ln[C(n, k) 2^(-n)] plus n ln 2, so it is exactly symmetric
+    under k <-> n - k.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -131,8 +212,7 @@ def log_binomial(n: int, k: int | np.ndarray) -> float | np.ndarray:
     if ks.dtype.kind not in "iu":
         raise ValueError(f"k must be an integer, got {k!r}")
     inside = (ks >= 0) & (ks <= n)
-    ks = np.where(inside, ks, 0).astype(np.float64)  # exact below 2**53
-    values = gammaln(n + 1.0) - (gammaln(ks + 1.0) + gammaln(n - ks + 1.0))
+    values = _log_binomial_pmf(n, np.where(inside, ks, 0)) + n * LN2
     return _float_or_array(np.where(inside, values, -np.inf))
 
 
@@ -157,10 +237,18 @@ def signed_cos_pow(x: float | np.ndarray, p: int) -> float | np.ndarray:
 
 
 def central_binomial_weight(n: int) -> float:
-    """Central binomial weight 2**(-2n) C(2n, n), in log space."""
+    """Central binomial weight 2**(-2n) C(2n, n).
+
+    Loader's saddle-point form at its centre, exp(stirlerr(2n) - 2 stirlerr(n))
+    / sqrt(pi n), in scalar arithmetic; within a few ulps relative.
+    """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    return math.exp(log_binomial(2 * n, n) - 2 * n * LN2)
+    if n == 0:
+        return 1.0
+    n = int(n)
+    st = _stirlerr_at(2 * n) - _stirlerr_at(n) - _stirlerr_at(n)
+    return math.exp(st - 0.5 * math.log(math.pi * n))
 
 
 def stirling_central_weight(n: int) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import LN2, SpinMagnitude, log_binomial, operator_matrix
+from .spin_core import SpinMagnitude, _log_binomial_pmf, operator_matrix
 
 NORM_TOL = 1e-12
 
@@ -39,11 +39,12 @@ def ground_state(s: SpinMagnitude) -> SingleSpinState:
 def coherent_x(s: SpinMagnitude) -> SingleSpinState:
     """Transverse spin coherent state, C_m = 2**(-S) sqrt(C(2S, S + m)).
 
-    Amplitudes are assembled in log space so large S stays finite; the
-    binomial symmetry C_m = C_{-m} is exact.
+    The weights C_m^2 are Loader's saddle-point binomial pmf, so large S stays
+    finite and the state is normalized at every spin; the binomial symmetry
+    C_m = C_{-m} is exact.
     """
-    logw = log_binomial(s.two_s, np.arange(s.d))
-    amps = np.exp(0.5 * logw - 0.5 * s.two_s * LN2).astype(np.complex128)
+    pmf = np.exp(_log_binomial_pmf(s.two_s, np.arange(s.d)))
+    amps = np.sqrt(pmf).astype(np.complex128)
     return SingleSpinState(s, amps)
 
 

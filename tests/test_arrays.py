@@ -31,6 +31,7 @@ from quditpair import (
 )
 from quditpair import cli
 from quditpair.entanglement import PURITY_SLACK, _closed_constants, _spectral_grid
+from quditpair.spin_core import _log_binomial_pmf
 
 TWO_S = st.integers(min_value=1, max_value=300)
 
@@ -99,6 +100,14 @@ def test_log_binomial_row_equals_scalar_calls(n):
     for i, k in enumerate(ks.tolist()):
         scalar = log_binomial(n, k)
         assert type(scalar) is float and row[i] == scalar
+
+
+@given(st.integers(min_value=0, max_value=10000))
+def test_pmf_row_equals_one_element_calls(n):
+    ks = np.unique(np.linspace(0, n, 40).astype(int))
+    row = _log_binomial_pmf(n, ks)
+    for i in range(ks.size):
+        assert np.array_equal(row[i], _log_binomial_pmf(n, ks[i : i + 1])[0])
 
 
 def test_log_binomial_rejects_float_array():

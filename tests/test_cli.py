@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quditpair
 from quditpair import SpectralWeights, SpinMagnitude, coherent_x, f_general
 from quditpair.cli import main
 
@@ -148,6 +153,9 @@ class TestSweep:
             ["sweep", "--two-s", "3", "--tau-max", "1e308", "--period-units"],
             ["verify", "--max-two-s", "2", "--tolerance", "nan"],
             ["verify", "--max-two-s", "2", "--tolerance", "inf"],
+            ["sweep", "--two-s", "4", "--tau-max", "1e306", "--period-units", "--samples", "2"],
+            ["sweep", "--two-s", "4", "--tau-max", "1e300", "--method", "exact"],
+            ["sweep", "--two-s", "4", "--tau-max", "1e200", "--method", "asymptotic"],
         ],
     )
     def test_usage_errors_exit_two(self, argv, capsys):
@@ -250,3 +258,28 @@ class TestVerify:
         assert main(["verify", "--max-two-s", "2", "--samples", "10",
                      "--output", str(target)]) == 0
         assert "checks passed" in target.read_text(encoding="utf-8")
+
+
+_NO_SCIPY_PROBE = """
+import contextlib, io, sys
+from quditpair.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["sweep", "--two-s", "9", "--tau-max", "1", "--period-units", "--samples", "5"]),
+        main(["sweep", "--two-s", "600", "--method", "closed", "--tau-max", "20",
+              "--samples", "5", "--state", "uniform"]),
+        main(["figure", "fig4", "--samples", "5"]),
+        main(["verify", "--max-two-s", "3", "--samples", "2"]),
+    ]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_load_no_scipy():
+    # a fresh interpreter, so nothing the test suite imported leaks in
+    env = dict(os.environ, PYTHONPATH=str(Path(quditpair.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PROBE], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[0, 0, 0, 0] []"

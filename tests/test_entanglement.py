@@ -137,6 +137,15 @@ class TestClosedForms:
             expect = full + const.central_weight
             assert abs(purity_coherent_closed(s, tau) - expect) <= 1e-15 * expect
 
+    @pytest.mark.parametrize(
+        "tau, reference",
+        [(0.5, 0.8944267437846434), (3.0, 0.316224564210374), (17.3, 0.057706425332305314)],
+    )
+    def test_coherent_at_largest_spin_matches_mpmath(self, tau, reference):
+        # reference: a 40-digit mpmath sum of the closed form at 2S = 20000,
+        # over every M whose weight is above 1e-70
+        assert abs(purity_coherent_closed(SpinMagnitude(20000), tau) - reference) <= 1e-13
+
     def test_uniform_near_removable_singularity_at_classical_scale(self):
         # y = M tau / S lands within 1.4e-6 of a multiple of 2 pi here, where
         # the Fejer ratio is below its limit d^2 by ~(d eps)^2 / 12; the

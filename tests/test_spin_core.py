@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from quditpair import (
     signed_cos_pow,
     stirling_central_weight,
 )
+from quditpair.spin_core import _log_binomial_pmf
 
 from oracles import cos_power_reference, log_binomial_reference
 
@@ -182,6 +184,11 @@ class TestLogBinomial:
             for k in range(n + 1):
                 assert log_binomial(n, k) == log_binomial(n, n - k)
 
+    @pytest.mark.parametrize("n", [2, 3, 64, 129, 4095, 4096, 4097, 8193, 40000])
+    def test_pmf_row_exactly_symmetric(self, n):
+        row = _log_binomial_pmf(n, np.arange(n + 1))
+        assert np.array_equal(row, row[::-1])
+
     def test_exact_for_small_n(self):
         for n in range(61):
             for k in range(n + 1):
@@ -243,6 +250,11 @@ class TestCentralWeights:
         for n in (5, 50, 300):
             exact = math.comb(2 * n, n) / 4.0**n
             assert math.isclose(central_binomial_weight(n), exact, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 15, 16, 97, 1000, 2048, 2049, 4096, 7919, 12345, 20000])
+    def test_within_2e_15_relative_of_exact_ratio(self, n):
+        exact = Fraction(math.comb(2 * n, n), 4**n)
+        assert abs(Fraction(central_binomial_weight(n)) - exact) <= Fraction(2e-15) * exact
 
     def test_stirling_form(self):
         assert stirling_central_weight(4) == 1.0 / math.sqrt(4 * math.pi)

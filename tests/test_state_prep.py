@@ -18,6 +18,7 @@ from quditpair import (
     rotate_y,
     uniform_state,
 )
+from quditpair.state_prep import NORM_TOL
 
 SPINS = [SpinMagnitude(two_s) for two_s in (1, 2, 3, 5, 9, 20, 41)]
 
@@ -73,6 +74,12 @@ class TestCoherentX:
     def test_reflection_symmetry_exact(self, two_s):
         amps = coherent_x(SpinMagnitude(two_s)).amps
         assert np.array_equal(amps, amps[::-1])
+
+    @pytest.mark.parametrize("two_s", [*range(1, 20001, 97), 740, 20000])
+    def test_normalized_at_large_spin(self, two_s):
+        # the constructor raises "not normalized" past NORM_TOL
+        amps = coherent_x(SpinMagnitude(two_s)).amps
+        assert abs(np.sum(np.abs(amps) ** 2) - 1.0) <= NORM_TOL
 
     def test_matches_uniform_at_spin_half(self):
         # same state, but sqrt(C(1,k))/2**0.5 and 2**-0.5 round differently
